@@ -22,6 +22,7 @@
 use graphalytics_bench::{env_u64, env_usize, print_table};
 use graphalytics_datagen::cluster::{generate_to_disk_with, DiskModel};
 use graphalytics_datagen::{DatagenConfig, DegreeDistribution, GenerationMode};
+use graphalytics_graph::io::ScratchDir;
 
 fn main() {
     let sizes: Vec<usize> = std::env::var("GX_SIZES")
@@ -38,8 +39,7 @@ fn main() {
     // Modeled per-job scheduling latency (Hadoop-era clusters paid tens of
     // seconds per job; reduced-scale default 2 s).
     let job_latency = env_usize("GX_JOB_LATENCY_DECISECS", 20) as f64 / 10.0;
-    let dir = std::env::temp_dir().join(format!("gx-fig3-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = ScratchDir::new("fig3").expect("scratch dir");
 
     println!(
         "Figure 3: Datagen scalability — single node ({threads} threads, 1 disk) vs \
@@ -59,7 +59,7 @@ fn main() {
         let single = generate_to_disk_with(
             &cfg,
             &GenerationMode::SingleNode { threads },
-            &dir.join(format!("single-{persons}.e")),
+            &dir.path().join(format!("single-{persons}.e")),
             true,
         )
         .expect("single-node generation");
@@ -68,9 +68,9 @@ fn main() {
             &cfg,
             &GenerationMode::Cluster {
                 workers,
-                spill_dir: dir.join(format!("spill-{persons}")),
+                spill_dir: dir.path().join(format!("spill-{persons}")),
             },
-            &dir.join(format!("cluster-{persons}.e")),
+            &dir.path().join(format!("cluster-{persons}.e")),
             false, // Output stays partitioned across worker disks (HDFS).
         )
         .expect("cluster generation");
@@ -102,5 +102,4 @@ fn main() {
     println!("\nmeasured columns: wall clock on this machine (CPU-bound regime; single wins).");
     println!("+HDD columns: with modeled per-device drain time — the cluster's {workers} disks");
     println!("pull ahead as volume grows, the crossover of the paper's Figure 3.");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -217,6 +217,7 @@ fn write_or_warn(path: &str, content: &str, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_graph::io::ScratchDir;
 
     fn parse(args: &[&str]) -> Result<ObsArgs, String> {
         ObsArgs::parse(args.iter().map(|s| s.to_string()))
@@ -261,9 +262,8 @@ mod tests {
 
     #[test]
     fn profiling_session_yields_profile_and_chokepoints() {
-        let dir = std::env::temp_dir().join(format!("gx-obs-session-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("prof").to_string_lossy().to_string();
+        let dir = ScratchDir::new("obs-session").unwrap();
+        let base = dir.path().join("prof").to_string_lossy().to_string();
         let args = parse(&["--profile-out", &base]).unwrap();
         let session = ObsSession::start(&args);
         {
@@ -286,6 +286,5 @@ mod tests {
                 "missing artifact {path}"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

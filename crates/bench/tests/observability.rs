@@ -13,6 +13,7 @@ use std::sync::Arc;
 use graphalytics_bench::{ObsArgs, ObsSession};
 use graphalytics_core::json::{self, Json};
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform, ReferencePlatform};
+use graphalytics_graph::io::ScratchDir;
 use graphalytics_obs::export::TRACE_EVENT_REQUIRED_FIELDS;
 use graphalytics_pregel::GiraphPlatform;
 
@@ -67,13 +68,11 @@ fn disabled_observability_leaves_outputs_byte_identical() {
 
     // Profiled session running in the same process must not perturb the
     // unobserved run either: samplers only see their own tracer's spans.
-    let dir = std::env::temp_dir().join(format!("gx-obs-ni-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("prof").to_string_lossy().to_string();
+    let dir = ScratchDir::new("obs-ni").unwrap();
+    let base = dir.path().join("prof").to_string_lossy().to_string();
     let profiled = ObsSession::start(&ObsArgs::parse(["--profile-out".to_string(), base]).unwrap());
     let profiled_outputs = run_outputs(&suite, &profiled);
     profiled.finish("non-interference");
-    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(bare_outputs, off_outputs);
     assert_eq!(bare_outputs, profiled_outputs);
@@ -82,9 +81,8 @@ fn disabled_observability_leaves_outputs_byte_identical() {
 
 #[test]
 fn profiled_scale16_bfs_emits_all_artifacts() {
-    let dir = std::env::temp_dir().join(format!("gx-obs-prof16-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("bfs16").to_string_lossy().to_string();
+    let dir = ScratchDir::new("obs-prof16").unwrap();
+    let base = dir.path().join("bfs16").to_string_lossy().to_string();
 
     let args = ObsArgs::parse(["--profile-out".to_string(), base.clone()]).unwrap();
     let session = ObsSession::start(&args);
@@ -138,6 +136,4 @@ fn profiled_scale16_bfs_emits_all_artifacts() {
     let svg = std::fs::read_to_string(format!("{base}.svg")).unwrap();
     assert!(svg.contains("<rect"));
     assert!(!svg.contains("no samples"));
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

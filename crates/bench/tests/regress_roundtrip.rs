@@ -3,6 +3,7 @@
 //! slowed measurement fails the gate.
 
 use graphalytics_bench::regress::{check, measure, record, RegressConfig, SERVE_KEY};
+use graphalytics_graph::io::ScratchDir;
 use graphalytics_obs::regress::Thresholds;
 
 fn small() -> RegressConfig {
@@ -66,13 +67,12 @@ fn baseline_file_round_trips_through_disk() {
         serve_scale: 8,
     };
     let baseline = record(&cfg).expect("record");
-    let path =
-        std::env::temp_dir().join(format!("gx-regress-roundtrip-{}.json", std::process::id()));
+    let dir = ScratchDir::new("regress-roundtrip").unwrap();
+    let path = dir.path().join("baseline.json");
     std::fs::write(&path, baseline.to_json_string()).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     let parsed = graphalytics_obs::regress::Baseline::parse(&text).expect("parses");
     assert_eq!(parsed, baseline);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -142,10 +142,10 @@ pub fn transitive_closure(
             endpoints: usize,
         }
         let mut outputs: Vec<Option<PartOut>> = (0..p).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (t, (my_border, slot)) in border.iter().zip(outputs.iter_mut()).enumerate() {
                 let _ = t;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = LookupScratch::default();
                     let mut targets = Vec::new();
                     // Vectored execution: a sorted border turns the random
@@ -187,8 +187,7 @@ pub fn transitive_closure(
                     *slot = Some(out);
                 });
             }
-        })
-        .map_err(|_| PlatformError::Internal("transitive worker panicked".to_string()))?;
+        });
 
         // Exchange receive side: regroup buffers per destination.
         let t_ex = Instant::now();
@@ -211,14 +210,14 @@ pub fn transitive_closure(
         // Phase c (parallel): record the new border in the partition hash
         // tables.
         let mut hash_seconds = vec![0.0f64; p];
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (((my_visited, my_depths), (my_border, candidates)), hs) in visited
                 .iter_mut()
                 .zip(depths.iter_mut())
                 .zip(border.iter_mut().zip(incoming))
                 .zip(hash_seconds.iter_mut())
             {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let t0 = Instant::now();
                     my_border.clear();
                     for c in candidates {
@@ -230,8 +229,7 @@ pub fn transitive_closure(
                     *hs = t0.elapsed().as_secs_f64();
                 });
             }
-        })
-        .map_err(|_| PlatformError::Internal("transitive hash worker panicked".to_string()))?;
+        });
         profile.hash_seconds += hash_seconds.iter().sum::<f64>();
     }
 

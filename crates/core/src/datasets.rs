@@ -159,11 +159,10 @@ impl DatasetRepository {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_graph::io::ScratchDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gx-ds-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("ds-{name}")).unwrap()
     }
 
     #[test]
@@ -199,7 +198,8 @@ mod tests {
 
     #[test]
     fn repository_caches_and_round_trips() {
-        let repo = DatasetRepository::open(tmp("cache")).unwrap();
+        let dir = tmp("cache");
+        let repo = DatasetRepository::open(dir.path()).unwrap();
         let d = Dataset::graph500(7);
         let first = repo.fetch(&d).unwrap();
         assert!(repo.prefix(&d).with_extension("v").exists());
@@ -211,7 +211,7 @@ mod tests {
     fn file_spec_reads_written_graph() {
         let dir = tmp("file");
         let g = EdgeListGraph::undirected_from_edges(vec![(0, 1), (1, 2)]);
-        let prefix = dir.join("tiny");
+        let prefix = dir.path().join("tiny");
         io::write_graph(&g, &prefix).unwrap();
         let d = Dataset {
             name: "tiny".into(),

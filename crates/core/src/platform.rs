@@ -8,6 +8,7 @@
 //! is the dataset-loading/ETL step, `run` is the workload-processing
 //! interface, and the harness handles monitoring and reporting around it.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,6 +22,47 @@ use crate::trace::Tracer;
 /// Opaque handle to a graph loaded into a platform's own storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraphHandle(pub u64);
+
+/// The graphs a platform has loaded, keyed by the handles it gave out.
+/// Handles count up from 0 per table and are never reused, so a handle
+/// kept past its `unload` can never reach a graph loaded later.
+#[derive(Debug)]
+pub struct HandleTable<T> {
+    entries: BTreeMap<u64, T>,
+    next: u64,
+}
+
+impl<T> Default for HandleTable<T> {
+    fn default() -> Self {
+        Self {
+            entries: BTreeMap::new(),
+            next: 0,
+        }
+    }
+}
+
+impl<T> HandleTable<T> {
+    /// Stores `value` under a fresh handle.
+    pub fn insert(&mut self, value: T) -> GraphHandle {
+        let handle = GraphHandle(self.next);
+        self.next += 1;
+        self.entries.insert(handle.0, value);
+        handle
+    }
+
+    /// The value behind `handle`; [`PlatformError::InvalidHandle`] when it
+    /// was never issued or has been removed.
+    pub fn get(&self, handle: GraphHandle) -> Result<&T, PlatformError> {
+        self.entries
+            .get(&handle.0)
+            .ok_or(PlatformError::InvalidHandle)
+    }
+
+    /// Takes the value behind `handle` out of the table.
+    pub fn remove(&mut self, handle: GraphHandle) -> Option<T> {
+        self.entries.remove(&handle.0)
+    }
+}
 
 /// Errors a platform can produce while loading or running.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,6 +319,23 @@ mod tests {
             let _s = ctx.tracer().span("x");
         }
         assert_eq!(tracer.finished_spans().len(), 1);
+    }
+
+    #[test]
+    fn handle_table_rejects_unknown_and_removed_handles_and_never_reuses_them() {
+        let mut table = HandleTable::default();
+        assert_eq!(table.get(GraphHandle(0)), Err(PlatformError::InvalidHandle));
+        let a = table.insert("a");
+        let b = table.insert("b");
+        assert_ne!(a, b);
+        assert_eq!(table.get(a), Ok(&"a"));
+        assert_eq!(table.remove(a), Some("a"));
+        assert_eq!(table.get(a), Err(PlatformError::InvalidHandle));
+        assert_eq!(table.remove(a), None);
+        let c = table.insert("c");
+        assert!(c != a && c != b);
+        assert_eq!(table.get(b), Ok(&"b"));
+        assert_eq!(table.get(c), Ok(&"c"));
     }
 
     #[test]

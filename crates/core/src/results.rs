@@ -126,10 +126,7 @@ mod tests {
     use super::*;
     use crate::runner::RunStatus;
     use crate::validator::Validation;
-
-    fn tmpfile(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("gx-results-{}-{name}.jsonl", std::process::id()))
-    }
+    use graphalytics_graph::io::ScratchDir;
 
     fn record(platform: &str, runtime: f64) -> RunRecord {
         RunRecord {
@@ -152,8 +149,8 @@ mod tests {
 
     #[test]
     fn submit_and_query() {
-        let path = tmpfile("sq");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("results-sq").unwrap();
+        let path = dir.path().join("results.jsonl");
         let db = ResultsDb::open(&path).unwrap();
         db.submit(&[record("Giraph", 10.0), record("GraphX", 20.0)])
             .unwrap();
@@ -169,8 +166,8 @@ mod tests {
 
     #[test]
     fn best_runtime_is_minimum_across_submissions() {
-        let path = tmpfile("best");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("results-best").unwrap();
+        let path = dir.path().join("results.jsonl");
         let db = ResultsDb::open(&path).unwrap();
         db.submit(&[record("Giraph", 10.0), record("Giraph", 7.5)])
             .unwrap();
@@ -183,8 +180,8 @@ mod tests {
 
     #[test]
     fn auxiliary_docs_ride_along_with_run_records() {
-        let path = tmpfile("docs");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("results-docs").unwrap();
+        let path = dir.path().join("results.jsonl");
         let db = ResultsDb::open(&path).unwrap();
         db.submit(&[record("Giraph", 10.0)]).unwrap();
         db.submit_docs(&[Json::obj([
@@ -204,15 +201,16 @@ mod tests {
 
     #[test]
     fn empty_database_loads_empty() {
-        let path = tmpfile("empty");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("results-empty").unwrap();
+        let path = dir.path().join("results.jsonl");
         let db = ResultsDb::open(&path).unwrap();
         assert!(db.load().unwrap().is_empty());
     }
 
     #[test]
     fn corrupt_lines_are_skipped() {
-        let path = tmpfile("corrupt");
+        let dir = ScratchDir::new("results-corrupt").unwrap();
+        let path = dir.path().join("results.jsonl");
         std::fs::write(&path, "not json\n{\"platform\":\"Giraph\"}\n").unwrap();
         let db = ResultsDb::open(&path).unwrap();
         let docs = db.load().unwrap();

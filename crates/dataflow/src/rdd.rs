@@ -292,15 +292,14 @@ impl<T: Send + Sync> Dataset<T> {
     ) -> Result<Dataset<U>, PlatformError> {
         self.ctx.note_stage();
         let mut outputs: Vec<Option<Vec<U>>> = (0..self.parts.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (part, slot) in self.parts.iter().zip(outputs.iter_mut()) {
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     *slot = Some(f(part));
                 });
             }
-        })
-        .map_err(|_| PlatformError::Internal("dataflow worker panicked".to_string()))?;
+        });
         let parts: Vec<Vec<U>> = outputs
             .into_iter()
             .map(|o| {
@@ -390,14 +389,14 @@ where
         #[allow(clippy::type_complexity)]
         let mut outputs: Vec<Option<Vec<(K, (V, W))>>> =
             (0..left.parts.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for ((lpart, rpart), slot) in left
                 .parts
                 .iter()
                 .zip(right.parts.iter())
                 .zip(outputs.iter_mut())
             {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut table: rustc_hash::FxHashMap<&K, Vec<&V>> =
                         rustc_hash::FxHashMap::default();
                     for (k, v) in lpart {
@@ -414,8 +413,7 @@ where
                     *slot = Some(out);
                 });
             }
-        })
-        .map_err(|_| PlatformError::Internal("join worker panicked".to_string()))?;
+        });
         let parts: Vec<_> = outputs
             .into_iter()
             .map(|o| {

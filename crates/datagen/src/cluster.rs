@@ -200,13 +200,13 @@ fn single_node(
         let mut slots: Vec<Option<Vec<(u64, u64)>>> = (0..blocks).map(|_| None).collect();
         let next = std::sync::atomic::AtomicUsize::new(0);
         let slot_ptr = std::sync::Mutex::new(&mut slots);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads.min(blocks) {
                 let degrees = &degrees;
                 let next = &next;
                 let slot_ptr = &slot_ptr;
                 // lint:allow(spawn-audit): scoped workers drain a block-indexed queue into ordered slots — thread count cannot reorder output
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let b = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if b >= blocks {
                         break;
@@ -215,8 +215,7 @@ fn single_node(
                     slot_ptr.lock().expect("slots poisoned")[b] = Some(proposals);
                 });
             }
-        })
-        .expect("generation worker panicked");
+        });
         // Phase 2 (sequential): arbitrate and write through the one disk.
         let mut arbiter = Arbiter::new(cfg, &degrees, pass);
         let mut accepted = Vec::new();
@@ -267,14 +266,14 @@ fn cluster(
     // disk, one file per (pass, block) so the reduce stage can arbitrate
     // in canonical order.
     let mut results: Vec<Result<(), GraphError>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for w in 0..workers {
             let spill_dir = spill_dir.to_path_buf();
             let degrees = &degrees;
             let orders = &orders;
             // lint:allow(spawn-audit): scoped spill workers own whole blocks round-robin; file contents depend only on block identity
-            handles.push(scope.spawn(move |_| -> Result<(), GraphError> {
+            handles.push(scope.spawn(move || -> Result<(), GraphError> {
                 for (pass, order) in orders.iter().enumerate() {
                     if n < 2 {
                         break;
@@ -298,8 +297,7 @@ fn cluster(
         for h in handles {
             results.push(h.join().expect("cluster worker panicked"));
         }
-    })
-    .expect("cluster scope failed");
+    });
     for r in results {
         r?;
     }
@@ -373,13 +371,11 @@ fn parking_lot_free_writer(path: &Path) -> Result<BufWriter<File>, GraphError> {
 mod tests {
     use super::*;
     use crate::distributions::DegreeDistribution;
-    use graphalytics_graph::io::read_edge_file;
+    use graphalytics_graph::io::{read_edge_file, ScratchDir};
     use graphalytics_graph::EdgeListGraph;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gx-cluster-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("cluster-{name}")).unwrap()
     }
 
     fn cfg(n: usize) -> DatagenConfig {
@@ -405,8 +401,8 @@ mod tests {
     fn single_and_cluster_produce_the_same_graph() {
         let dir = tmp("same");
         let cfg = cfg(1200);
-        let single_out = dir.join("single.e");
-        let cluster_out = dir.join("cluster.e");
+        let single_out = dir.path().join("single.e");
+        let cluster_out = dir.path().join("cluster.e");
         let s = generate_to_disk(
             &cfg,
             &GenerationMode::SingleNode { threads: 3 },
@@ -417,7 +413,7 @@ mod tests {
             &cfg,
             &GenerationMode::Cluster {
                 workers: 4,
-                spill_dir: dir.join("spill"),
+                spill_dir: dir.path().join("spill"),
             },
             &cluster_out,
         )
@@ -433,7 +429,7 @@ mod tests {
     fn matches_in_memory_generator() {
         let dir = tmp("mem");
         let cfg = cfg(800);
-        let out = dir.join("disk.e");
+        let out = dir.path().join("disk.e");
         generate_to_disk(&cfg, &GenerationMode::SingleNode { threads: 2 }, &out).unwrap();
         let from_disk = load(&out, 800);
         let in_memory = crate::generator::generate(&cfg);
@@ -443,7 +439,7 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_file() {
         let dir = tmp("empty");
-        let out = dir.join("e.e");
+        let out = dir.path().join("e.e");
         let stats =
             generate_to_disk(&cfg(0), &GenerationMode::SingleNode { threads: 2 }, &out).unwrap();
         assert_eq!(stats.edges_written, 0);
@@ -453,8 +449,8 @@ mod tests {
     #[test]
     fn cluster_cleans_up_spills() {
         let dir = tmp("clean");
-        let spill_dir = dir.join("spills");
-        let out = dir.join("out.e");
+        let spill_dir = dir.path().join("spills");
+        let out = dir.path().join("out.e");
         generate_to_disk(
             &cfg(400),
             &GenerationMode::Cluster {

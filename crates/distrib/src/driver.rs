@@ -8,23 +8,18 @@
 //! wire). `run` coordinates the fleet and reassembles per-worker outputs
 //! into the same global vectors the in-process engine produces.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use graphalytics_algos::{Algorithm, Output};
 use graphalytics_core::faults::FaultPlan;
-use graphalytics_core::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use graphalytics_core::platform::{GraphHandle, HandleTable, Platform, PlatformError, RunContext};
+use graphalytics_graph::io::ScratchDir;
 use graphalytics_graph::CsrGraph;
 use graphalytics_pregel::programs::CdState;
 
 use crate::master::{coordinate, MasterConfig, MasterStats};
 use crate::partition::PartitionPlan;
-
-/// Distinguishes scratch directories across platform instances within one
-/// process (the process id distinguishes across processes).
-static NEXT_SCRATCH: AtomicU64 = AtomicU64::new(0);
 
 /// Configuration of the distributed runtime.
 #[derive(Debug, Clone)]
@@ -43,8 +38,6 @@ pub struct DistribConfig {
     /// directory of the current executable and its parent (where Cargo
     /// places sibling binaries for test executables).
     pub worker_bin: Option<PathBuf>,
-    /// Scratch directory root; defaults to the system temp directory.
-    pub work_dir: Option<PathBuf>,
 }
 
 impl Default for DistribConfig {
@@ -55,14 +48,14 @@ impl Default for DistribConfig {
             max_supersteps: 10_000,
             max_restarts: 8,
             worker_bin: None,
-            work_dir: None,
         }
     }
 }
 
 struct LoadedGraph {
     graph: Arc<CsrGraph>,
-    dir: PathBuf,
+    /// Holds the dataset files and per-run checkpoints; removed on unload.
+    dir: ScratchDir,
     prefix: PathBuf,
     weighted: bool,
 }
@@ -72,8 +65,7 @@ struct LoadedGraph {
 /// superstep messages over localhost TCP.
 pub struct DistributedPlatform {
     config: DistribConfig,
-    graphs: BTreeMap<u64, LoadedGraph>,
-    next_handle: u64,
+    graphs: HandleTable<LoadedGraph>,
     run_seq: u64,
 }
 
@@ -82,8 +74,7 @@ impl DistributedPlatform {
     pub fn new(config: DistribConfig) -> Self {
         Self {
             config,
-            graphs: BTreeMap::new(),
-            next_handle: 0,
+            graphs: HandleTable::default(),
             run_seq: 0,
         }
     }
@@ -100,12 +91,6 @@ impl DistributedPlatform {
             workers,
             ..DistribConfig::default()
         })
-    }
-
-    fn loaded(&self, handle: GraphHandle) -> Result<&LoadedGraph, PlatformError> {
-        self.graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)
     }
 
     fn resolve_worker_bin(&self) -> Result<PathBuf, PlatformError> {
@@ -141,35 +126,19 @@ impl Platform for DistributedPlatform {
     }
 
     fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
-        let root = self
-            .config
-            .work_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir);
-        let dir = root.join(format!(
-            "gx-distrib-{}-{}",
-            std::process::id(),
-            NEXT_SCRATCH.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir)
+        let dir = ScratchDir::new("distrib")
             .map_err(|e| PlatformError::TransientIo(format!("scratch dir: {e}")))?;
-        let prefix = dir.join("graph");
+        let prefix = dir.path().join("graph");
         let edge_list = graph.to_edge_list();
         let weighted = edge_list.is_weighted();
         graphalytics_graph::io::write_graph(&edge_list, &prefix)
             .map_err(|e| PlatformError::TransientIo(format!("write dataset: {e:?}")))?;
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        self.graphs.insert(
-            handle.0,
-            LoadedGraph {
-                graph: Arc::new(graph.clone()),
-                dir,
-                prefix,
-                weighted,
-            },
-        );
-        Ok(handle)
+        Ok(self.graphs.insert(LoadedGraph {
+            graph: Arc::new(graph.clone()),
+            dir,
+            prefix,
+            weighted,
+        }))
     }
 
     fn run(
@@ -180,7 +149,7 @@ impl Platform for DistributedPlatform {
     ) -> Result<Output, PlatformError> {
         self.run_seq += 1;
         let run_seq = self.run_seq;
-        let loaded = self.loaded(handle)?;
+        let loaded = self.graphs.get(handle)?;
         let graph = Arc::clone(&loaded.graph);
         if let Algorithm::Evo {
             new_vertices,
@@ -211,7 +180,7 @@ impl Platform for DistributedPlatform {
             graph_prefix: loaded.prefix.clone(),
             directed: graph.is_directed(),
             weighted: loaded.weighted,
-            checkpoint_dir: loaded.dir.join(format!("run-{run_seq}")),
+            checkpoint_dir: loaded.dir.path().join(format!("run-{run_seq}")),
             run_id: run_seq,
         };
         let fault_plan = ctx
@@ -270,17 +239,7 @@ impl Platform for DistributedPlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        if let Some(loaded) = self.graphs.remove(&handle.0) {
-            let _ = std::fs::remove_dir_all(&loaded.dir);
-        }
-    }
-}
-
-impl Drop for DistributedPlatform {
-    fn drop(&mut self) {
-        for loaded in self.graphs.values() {
-            let _ = std::fs::remove_dir_all(&loaded.dir);
-        }
+        self.graphs.remove(handle);
     }
 }
 

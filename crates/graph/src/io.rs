@@ -11,7 +11,8 @@
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::edgelist::{Edge, EdgeListGraph, VertexId, Weight, WeightedEdge, WEIGHT_SCALE};
 use crate::GraphError;
@@ -194,6 +195,43 @@ fn strip_bom(line: &str, lineno: usize) -> &str {
     }
 }
 
+/// A scratch directory of its own under [`std::env::temp_dir`] (so `TMPDIR`
+/// chooses the root), named `gx-<tag>-<pid>-<n>` with `n` drawn from a
+/// process-wide counter: no two instances in one process share a path,
+/// whatever their tag. Created by [`ScratchDir::new`]; removed with its
+/// contents on drop.
+#[derive(Debug)]
+pub struct ScratchDir {
+    path: PathBuf,
+}
+
+impl ScratchDir {
+    /// Creates a fresh directory tagged `tag`.
+    pub fn new(tag: &str) -> std::io::Result<Self> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "gx-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&path)?;
+        Ok(Self { path })
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        // Drop cannot report an error, and the directory may already be
+        // gone; no one else uses this unique path, so nothing is lost.
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
 fn parse_err(path: &Path, lineno: usize, line: &str) -> GraphError {
     GraphError::Parse {
         file: path.display().to_string(),
@@ -206,17 +244,31 @@ fn parse_err(path: &Path, lineno: usize, line: &str) -> GraphError {
 mod tests {
     use super::*;
 
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gx-io-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    #[test]
+    fn scratch_dirs_are_distinct_and_removed_on_drop() {
+        let a = ScratchDir::new("io-scratch").unwrap();
+        let b = ScratchDir::new("io-scratch").unwrap();
+        assert_ne!(a.path(), b.path());
+        assert!(a.path().is_dir() && b.path().is_dir());
+        std::fs::write(a.path().join("f"), "x").unwrap();
+        let path = a.path().to_path_buf();
+        drop(a);
+        assert!(!path.exists());
+        assert!(b.path().is_dir());
+    }
+
+    #[test]
+    fn dropping_an_already_deleted_scratch_dir_does_not_panic() {
+        let dir = ScratchDir::new("io-gone").unwrap();
+        std::fs::remove_dir_all(dir.path()).unwrap();
+        drop(dir);
     }
 
     #[test]
     fn round_trip_undirected() {
-        let dir = tmpdir("rt");
+        let dir = ScratchDir::new("io-rt").unwrap();
         let g = EdgeListGraph::new(vec![7], vec![(0, 1), (1, 2), (0, 2)], false);
-        let prefix = dir.join("g1");
+        let prefix = dir.path().join("g1");
         write_graph(&g, &prefix).unwrap();
         let back = read_graph(&prefix, false).unwrap();
         assert_eq!(back, g);
@@ -224,9 +276,9 @@ mod tests {
 
     #[test]
     fn round_trip_directed() {
-        let dir = tmpdir("rtd");
+        let dir = ScratchDir::new("io-rtd").unwrap();
         let g = EdgeListGraph::directed_from_edges(vec![(1, 0), (0, 1), (2, 0)]);
-        let prefix = dir.join("g2");
+        let prefix = dir.path().join("g2");
         write_graph(&g, &prefix).unwrap();
         let back = read_graph(&prefix, true).unwrap();
         assert_eq!(back, g);
@@ -234,20 +286,20 @@ mod tests {
 
     #[test]
     fn parses_comments_blanks_and_weights() {
-        let dir = tmpdir("cmt");
-        let epath = dir.join("w.e");
+        let dir = ScratchDir::new("io-cmt").unwrap();
+        let epath = dir.path().join("w.e");
         std::fs::write(&epath, "# header\n\n0 1 0.5\n 1 2 \n").unwrap();
         let edges = read_edge_file(&epath).unwrap();
         assert_eq!(edges, vec![(0, 1), (1, 2)]);
-        let vpath = dir.join("w.v");
+        let vpath = dir.path().join("w.v");
         std::fs::write(&vpath, "# ids\n3\n\n4\n").unwrap();
         assert_eq!(read_vertex_file(&vpath).unwrap(), vec![3, 4]);
     }
 
     #[test]
     fn reports_parse_error_with_location() {
-        let dir = tmpdir("err");
-        let epath = dir.join("bad.e");
+        let dir = ScratchDir::new("io-err").unwrap();
+        let epath = dir.path().join("bad.e");
         std::fs::write(&epath, "0 1\nnot an edge\n").unwrap();
         let err = read_edge_file(&epath).unwrap_err();
         match err {
@@ -292,13 +344,13 @@ mod tests {
 
     #[test]
     fn weighted_graph_round_trips() {
-        let dir = tmpdir("wrt");
+        let dir = ScratchDir::new("io-wrt").unwrap();
         let g = EdgeListGraph::new_weighted(
             vec![9],
             vec![(0, 1, 500_000), (1, 2, 2_250_000), (0, 2, WEIGHT_SCALE)],
             false,
         );
-        let prefix = dir.join("wg");
+        let prefix = dir.path().join("wg");
         write_graph(&g, &prefix).unwrap();
         assert_eq!(read_weighted_graph(&prefix, false).unwrap(), g);
         // The unweighted reader still accepts the same file, dropping
@@ -310,8 +362,8 @@ mod tests {
 
     #[test]
     fn weighted_reader_requires_a_weight() {
-        let dir = tmpdir("wreq");
-        let epath = dir.join("m.e");
+        let dir = ScratchDir::new("io-wreq").unwrap();
+        let epath = dir.path().join("m.e");
         std::fs::write(&epath, "0 1 0.5\n1 2\n").unwrap();
         let err = read_weighted_edge_file(&epath).unwrap_err();
         match err {

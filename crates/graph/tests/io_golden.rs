@@ -8,16 +8,13 @@
 
 use graphalytics_graph::io::{
     read_edge_file, read_graph, read_vertex_file, read_weighted_edge_file, read_weighted_graph,
-    write_graph,
+    write_graph, ScratchDir,
 };
 use graphalytics_graph::{EdgeListGraph, GraphError, WEIGHT_SCALE};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gx-io-golden-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+fn scratch(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("io-golden-{name}")).expect("create scratch dir")
 }
 
 /// The canonical graph every variant below must parse into.
@@ -25,8 +22,8 @@ fn golden_graph() -> EdgeListGraph {
     EdgeListGraph::new(vec![0, 1, 2, 3, 7], vec![(0, 1), (1, 2), (2, 3)], false)
 }
 
-fn write_pair(dir: &Path, name: &str, v_text: &str, e_text: &str) -> PathBuf {
-    let prefix = dir.join(name);
+fn write_pair(dir: &ScratchDir, name: &str, v_text: &str, e_text: &str) -> PathBuf {
+    let prefix = dir.path().join(name);
     std::fs::write(prefix.with_extension("v"), v_text).expect("write .v");
     std::fs::write(prefix.with_extension("e"), e_text).expect("write .e");
     prefix
@@ -97,17 +94,15 @@ fn utf8_bom_is_stripped() {
 #[test]
 fn bom_on_a_comment_line_still_skips_the_comment() {
     let dir = scratch("bom-comment");
-    let vpath = scratch("bom-comment-v").join("g.v");
+    let vpath = dir.path().join("g.v");
     std::fs::write(&vpath, "\u{feff}# header\n5\n").expect("write");
     assert_eq!(read_vertex_file(&vpath).unwrap(), vec![5]);
-    let _ = vpath;
-    let _ = dir;
 }
 
 #[test]
 fn weights_are_accepted_and_discarded() {
     let dir = scratch("weights");
-    let epath = dir.join("g.e");
+    let epath = dir.path().join("g.e");
     std::fs::write(&epath, "0 1 0.25\n1 2 3.5\n2 3 1\n").expect("write");
     assert_eq!(
         read_edge_file(&epath).unwrap(),
@@ -118,7 +113,7 @@ fn weights_are_accepted_and_discarded() {
 #[test]
 fn writer_output_is_the_golden_byte_form() {
     let dir = scratch("golden-bytes");
-    let prefix = dir.join("g");
+    let prefix = dir.path().join("g");
     write_graph(&golden_graph(), &prefix).unwrap();
     assert_eq!(
         std::fs::read_to_string(prefix.with_extension("v")).unwrap(),
@@ -142,11 +137,11 @@ fn read_write_round_trip_is_byte_stable() {
         "# edges\n2 3 9.0\r\n0 1\n1 2\r\n\n",
     );
     let g = read_graph(&messy, false).unwrap();
-    let clean = dir.join("clean");
+    let clean = dir.path().join("clean");
     write_graph(&g, &clean).unwrap();
     let reread = read_graph(&clean, false).unwrap();
     assert_eq!(reread, g);
-    let clean2 = dir.join("clean2");
+    let clean2 = dir.path().join("clean2");
     write_graph(&reread, &clean2).unwrap();
     assert_eq!(
         std::fs::read(clean.with_extension("v")).unwrap(),
@@ -199,7 +194,7 @@ fn weighted_crlf_bom_and_comments_parse_identically() {
 #[test]
 fn missing_weight_is_a_parse_error_with_line_context() {
     let dir = scratch("w-missing");
-    let epath = dir.join("g.e");
+    let epath = dir.path().join("g.e");
     std::fs::write(&epath, "0 1 2\n1 2\n2 3 1.5\n").expect("write");
     match read_weighted_edge_file(&epath).unwrap_err() {
         GraphError::Parse { line, content, .. } => {
@@ -214,7 +209,7 @@ fn missing_weight_is_a_parse_error_with_line_context() {
 fn negative_and_malformed_weights_are_rejected() {
     let dir = scratch("w-bad");
     for (i, bad) in ["-1", "-0.5", "1e3", "0.1234567", "nan"].iter().enumerate() {
-        let epath = dir.join(format!("g{i}.e"));
+        let epath = dir.path().join(format!("g{i}.e"));
         std::fs::write(&epath, format!("0 1 {bad}\n")).expect("write");
         match read_weighted_edge_file(&epath).unwrap_err() {
             GraphError::Parse { line, .. } => assert_eq!(line, 1, "weight {bad:?}"),
@@ -238,7 +233,7 @@ fn duplicate_weighted_edges_keep_the_minimum_weight() {
 fn weighted_read_write_round_trip_is_byte_stable() {
     let dir = scratch("w-fixpoint");
     let g = weighted_golden_graph();
-    let clean = dir.join("clean");
+    let clean = dir.path().join("clean");
     write_graph(&g, &clean).unwrap();
     assert_eq!(
         std::fs::read_to_string(clean.with_extension("e")).unwrap(),
@@ -246,7 +241,7 @@ fn weighted_read_write_round_trip_is_byte_stable() {
     );
     let reread = read_weighted_graph(&clean, false).unwrap();
     assert_eq!(reread, g);
-    let clean2 = dir.join("clean2");
+    let clean2 = dir.path().join("clean2");
     write_graph(&reread, &clean2).unwrap();
     assert_eq!(
         std::fs::read(clean.with_extension("e")).unwrap(),
@@ -258,7 +253,7 @@ fn weighted_read_write_round_trip_is_byte_stable() {
 fn directed_graphs_round_trip_with_orientation() {
     let dir = scratch("directed");
     let g = EdgeListGraph::directed_from_edges(vec![(1, 0), (0, 1), (2, 0)]);
-    let prefix = dir.join("g");
+    let prefix = dir.path().join("g");
     write_graph(&g, &prefix).unwrap();
     assert_eq!(read_graph(&prefix, true).unwrap(), g);
 }

@@ -250,13 +250,13 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     // Each join yields the task's own Result; a panicked task surfaces as
     // an Err from join, which the loop below turns into a PlatformError —
     // a failed map task becomes a failed job, not a harness crash.
-    let map_results = crossbeam::thread::scope(|scope| {
+    let map_results = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for task in 0..map_tasks {
             let spill_dir = &spill_dir;
             let inputs = &inputs;
             handles.push(
-                scope.spawn(move |_| -> Result<(usize, usize, usize), PlatformError> {
+                scope.spawn(move || -> Result<(usize, usize, usize), PlatformError> {
                     probe_task_attempts(ctx, map_job_fp, task as u32)?;
                     let mut input_count = 0usize;
                     let mut output_count = 0usize;
@@ -293,8 +293,7 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
             );
         }
         handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    })
-    .map_err(|_| PlatformError::Internal("map scope failed".to_string()))?;
+    });
     let mut counters = JobCounters::default();
     let map_span_id = map_span.id();
     for (task, r) in map_results.into_iter().enumerate() {
@@ -332,12 +331,12 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     reduce_span
         .field("job", job_name)
         .field("tasks", reduce_tasks);
-    let reduce_results = crossbeam::thread::scope(|scope| {
+    let reduce_results = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for p in 0..reduce_tasks {
             let spill_dir = &spill_dir;
             handles.push(scope.spawn(
-                move |_| -> Result<
+                move || -> Result<
                     (usize, std::collections::BTreeMap<String, i64>),
                     PlatformError,
                 > {
@@ -375,8 +374,7 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
             ));
         }
         handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    })
-    .map_err(|_| PlatformError::Internal("reduce scope failed".to_string()))?;
+    });
     let reduce_span_id = reduce_span.id();
     for (task, r) in reduce_results.into_iter().enumerate() {
         let (count, user) =
@@ -422,12 +420,10 @@ fn fx_hash(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_graph::io::ScratchDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gx-mr-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("mr-{name}")).unwrap()
     }
 
     /// The canonical word count.
@@ -451,7 +447,7 @@ mod tests {
     #[test]
     fn word_count_end_to_end() {
         let dir = tmp("wc");
-        let input = dir.join("input-0");
+        let input = dir.path().join("input-0");
         write_records(
             &input,
             &[
@@ -460,8 +456,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let config = JobConfig::new(&dir);
-        let out_dir = dir.join("out");
+        let config = JobConfig::new(dir.path());
+        let out_dir = dir.path().join("out");
         let counters = run_job(
             &config,
             "wordcount",
@@ -488,17 +484,17 @@ mod tests {
         use std::sync::Arc;
 
         let dir = tmp("spans");
-        let input = dir.join("input-0");
+        let input = dir.path().join("input-0");
         write_records(&input, &[("0".into(), "a b a".into())]).unwrap();
         let tracer = Arc::new(Tracer::new());
         let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
         let counters = run_job_traced(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir.path()),
             "wc",
             &[input],
             &TokenMapper,
             &SumReducer,
-            &dir.join("out"),
+            &dir.path().join("out"),
             &ctx,
         )
         .unwrap();
@@ -523,7 +519,7 @@ mod tests {
     #[test]
     fn records_round_trip_via_disk() {
         let dir = tmp("rt");
-        let path = dir.join("records");
+        let path = dir.path().join("records");
         let records = vec![
             ("a".to_string(), "1 2".to_string()),
             ("b".to_string(), String::new()),
@@ -542,19 +538,19 @@ mod tests {
             }
         }
         let dir = tmp("counters");
-        let input = dir.join("in");
+        let input = dir.path().join("in");
         write_records(
             &input,
             &[("x".into(), "a b a".into()), ("y".into(), "c".into())],
         )
         .unwrap();
         let counters = run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir.path()),
             "count",
             &[input],
             &TokenMapper,
             &CountingRed,
-            &dir.join("out"),
+            &dir.path().join("out"),
         )
         .unwrap();
         assert_eq!(counters.user_counter("keys"), 3); // a, b, c.
@@ -566,39 +562,39 @@ mod tests {
         let dir = tmp("multi");
         let mut inputs = Vec::new();
         for i in 0..6 {
-            let p = dir.join(format!("in-{i}"));
+            let p = dir.path().join(format!("in-{i}"));
             write_records(&p, &[(i.to_string(), format!("w{i}"))]).unwrap();
             inputs.push(p);
         }
         let counters = run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir.path()),
             "multi",
             &inputs,
             &TokenMapper,
             &SumReducer,
-            &dir.join("out"),
+            &dir.path().join("out"),
         )
         .unwrap();
         assert_eq!(counters.map_input, 6);
-        assert_eq!(read_output(&dir.join("out")).unwrap().len(), 6);
+        assert_eq!(read_output(&dir.path().join("out")).unwrap().len(), 6);
     }
 
     #[test]
     fn empty_input_produces_empty_output() {
         let dir = tmp("empty");
-        let input = dir.join("in");
+        let input = dir.path().join("in");
         write_records(&input, &[]).unwrap();
         let counters = run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir.path()),
             "empty",
             &[input],
             &TokenMapper,
             &SumReducer,
-            &dir.join("out"),
+            &dir.path().join("out"),
         )
         .unwrap();
         assert_eq!(counters.map_input, 0);
-        assert!(read_output(&dir.join("out")).unwrap().is_empty());
+        assert!(read_output(&dir.path().join("out")).unwrap().is_empty());
     }
 
     #[test]
@@ -607,15 +603,15 @@ mod tests {
         use std::sync::Arc;
 
         let dir = tmp("taskio");
-        let input = dir.join("in");
+        let input = dir.path().join("in");
         write_records(&input, &[("0".into(), "a b a".into())]).unwrap();
         let baseline = run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir.path()),
             "flaky",
             std::slice::from_ref(&input),
             &TokenMapper,
             &SumReducer,
-            &dir.join("out-base"),
+            &dir.path().join("out-base"),
         )
         .unwrap();
 
@@ -628,19 +624,19 @@ mod tests {
         let injector = Arc::new(FaultInjector::new(plan));
         let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
         let counters = run_job_traced(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir.path()),
             "flaky",
             &[input],
             &TokenMapper,
             &SumReducer,
-            &dir.join("out-faulty"),
+            &dir.path().join("out-faulty"),
             &ctx,
         )
         .unwrap();
         assert_eq!(counters, baseline);
         assert_eq!(
-            read_output(&dir.join("out-faulty")).unwrap(),
-            read_output(&dir.join("out-base")).unwrap()
+            read_output(&dir.path().join("out-faulty")).unwrap(),
+            read_output(&dir.path().join("out-base")).unwrap()
         );
         assert_eq!(injector.injected_count(), 1);
         assert_eq!(injector.recovery_count(), 1);
@@ -652,7 +648,7 @@ mod tests {
         use std::sync::Arc;
 
         let dir = tmp("taskio-fatal");
-        let input = dir.join("in");
+        let input = dir.path().join("in");
         write_records(&input, &[("0".into(), "a".into())]).unwrap();
         let mut plan = FaultPlan::disabled();
         for attempt in 0..MAX_TASK_ATTEMPTS {
@@ -665,12 +661,12 @@ mod tests {
         let injector = Arc::new(FaultInjector::new(plan));
         let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
         let err = run_job_traced(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir.path()),
             "doomed",
             &[input],
             &TokenMapper,
             &SumReducer,
-            &dir.join("out"),
+            &dir.path().join("out"),
             &ctx,
         );
         match err {
@@ -684,17 +680,17 @@ mod tests {
     #[test]
     fn spills_are_cleaned_after_job() {
         let dir = tmp("clean");
-        let input = dir.join("in");
+        let input = dir.path().join("in");
         write_records(&input, &[("0".into(), "a".into())]).unwrap();
         run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir.path()),
             "cleanme",
             &[input],
             &TokenMapper,
             &SumReducer,
-            &dir.join("out"),
+            &dir.path().join("out"),
         )
         .unwrap();
-        assert!(!dir.join("cleanme-spills").exists());
+        assert!(!dir.path().join("cleanme-spills").exists());
     }
 }

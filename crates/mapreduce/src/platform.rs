@@ -3,9 +3,9 @@
 use std::path::PathBuf;
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_core::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use graphalytics_core::platform::{GraphHandle, HandleTable, Platform, PlatformError, RunContext};
+use graphalytics_graph::io::ScratchDir;
 use graphalytics_graph::{CsrGraph, Vid};
-use rustc_hash::FxHashMap;
 
 use crate::algorithms;
 use crate::job::{write_records, JobConfig, Record};
@@ -19,8 +19,6 @@ pub struct MapReduceConfig {
     pub reduce_tasks: usize,
     /// Edge input splits written at ETL time (HDFS block count).
     pub input_splits: usize,
-    /// Root scratch directory ("HDFS"); default under the system temp dir.
-    pub work_root: PathBuf,
 }
 
 impl Default for MapReduceConfig {
@@ -29,7 +27,6 @@ impl Default for MapReduceConfig {
             map_tasks: 4,
             reduce_tasks: 4,
             input_splits: 4,
-            work_root: std::env::temp_dir().join(format!("gx-hadoop-{}", std::process::id())),
         }
     }
 }
@@ -41,7 +38,8 @@ struct LoadedGraph {
     weighted_edge_files: Vec<PathBuf>,
     num_vertices: usize,
     external_ids: Vec<u64>,
-    work_dir: PathBuf,
+    /// The graph's "HDFS": input splits plus one job dir per run.
+    work_dir: ScratchDir,
 }
 
 /// Hadoop MapReduce stand-in: every kernel is an iterative chain of
@@ -50,8 +48,7 @@ struct LoadedGraph {
 /// largest workload".
 pub struct MapReducePlatform {
     config: MapReduceConfig,
-    graphs: FxHashMap<u64, LoadedGraph>,
-    next_handle: u64,
+    graphs: HandleTable<LoadedGraph>,
 }
 
 impl MapReducePlatform {
@@ -59,8 +56,7 @@ impl MapReducePlatform {
     pub fn new(config: MapReduceConfig) -> Self {
         Self {
             config,
-            graphs: FxHashMap::default(),
-            next_handle: 0,
+            graphs: HandleTable::default(),
         }
     }
 
@@ -69,16 +65,13 @@ impl MapReducePlatform {
         Self::new(MapReduceConfig::default())
     }
 
-    fn loaded(&self, handle: GraphHandle) -> Result<&LoadedGraph, PlatformError> {
-        self.graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)
-    }
-
     /// A fresh job scratch dir per run (jobs of different algorithms must
     /// not collide).
     fn job_config(&self, loaded: &LoadedGraph, tag: &str) -> Result<JobConfig, PlatformError> {
-        let work_dir = loaded.work_dir.join(format!("run-{tag}-{}", next_run_id()));
+        let work_dir = loaded
+            .work_dir
+            .path()
+            .join(format!("run-{tag}-{}", next_run_id()));
         std::fs::create_dir_all(&work_dir)
             .map_err(|e| PlatformError::TransientIo(format!("i/o: {e}")))?;
         Ok(JobConfig {
@@ -102,10 +95,7 @@ impl Platform for MapReducePlatform {
 
     fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
         // ETL: write the arc records as `input_splits` HDFS-style files.
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        let work_dir = self.config.work_root.join(format!("graph-{}", handle.0));
-        std::fs::create_dir_all(&work_dir)
+        let work_dir = ScratchDir::new("hadoop")
             .map_err(|e| PlatformError::TransientIo(format!("i/o: {e}")))?;
         let splits = self.config.input_splits.max(1);
         let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); splits];
@@ -119,30 +109,26 @@ impl Platform for MapReducePlatform {
         }
         let mut edge_files = Vec::new();
         for (i, bucket) in buckets.iter().enumerate() {
-            let path = work_dir.join(format!("edges-{i:05}"));
+            let path = work_dir.path().join(format!("edges-{i:05}"));
             write_records(&path, bucket)?;
             edge_files.push(path);
         }
         let mut weighted_edge_files = Vec::new();
         for (i, bucket) in weighted_buckets.iter().enumerate() {
-            let path = work_dir.join(format!("wedges-{i:05}"));
+            let path = work_dir.path().join(format!("wedges-{i:05}"));
             write_records(&path, bucket)?;
             weighted_edge_files.push(path);
         }
         let external_ids = (0..graph.num_vertices() as Vid)
             .map(|v| graph.external_id(v))
             .collect();
-        self.graphs.insert(
-            handle.0,
-            LoadedGraph {
-                edge_files,
-                weighted_edge_files,
-                num_vertices: graph.num_vertices(),
-                external_ids,
-                work_dir,
-            },
-        );
-        Ok(handle)
+        Ok(self.graphs.insert(LoadedGraph {
+            edge_files,
+            weighted_edge_files,
+            num_vertices: graph.num_vertices(),
+            external_ids,
+            work_dir,
+        }))
     }
 
     fn run(
@@ -151,7 +137,7 @@ impl Platform for MapReducePlatform {
         algorithm: &Algorithm,
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
-        let loaded = self.loaded(handle)?;
+        let loaded = self.graphs.get(handle)?;
         let n = loaded.num_vertices;
         match algorithm {
             Algorithm::Stats => {
@@ -272,10 +258,7 @@ impl Platform for MapReducePlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        if let Some(loaded) = self.graphs.remove(&handle.0) {
-            // lint:allow(swallowed-result): unload is infallible by contract; a lingering work dir costs disk, not correctness
-            let _ = std::fs::remove_dir_all(&loaded.work_dir);
-        }
+        self.graphs.remove(handle);
     }
 }
 
@@ -369,7 +352,7 @@ mod tests {
         let mut p = MapReducePlatform::with_defaults();
         let g = test_graph();
         let handle = p.load_graph(&g).unwrap();
-        let dir = p.loaded(handle).unwrap().work_dir.clone();
+        let dir = p.graphs.get(handle).unwrap().work_dir.path().to_path_buf();
         assert!(dir.exists());
         p.unload(handle);
         assert!(!dir.exists());
@@ -377,6 +360,46 @@ mod tests {
             p.run(handle, &Algorithm::Conn, &RunContext::unbounded()),
             Err(PlatformError::InvalidHandle)
         );
+    }
+
+    #[test]
+    fn concurrent_default_instances_keep_their_scratch_apart() {
+        // Two default-configured instances on two threads, each cycling
+        // load → CONN → unload. The barriers force one instance to unload
+        // while the other still has to run on its own loaded graph.
+        let g = test_graph();
+        let expected = reference(&g, &Algorithm::Conn);
+        let barrier = std::sync::Barrier::new(2);
+        let outputs: Vec<Vec<Result<Output, PlatformError>>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|id| {
+                    let (g, barrier) = (&g, &barrier);
+                    s.spawn(move || {
+                        let mut p = MapReducePlatform::with_defaults();
+                        let mut outputs = Vec::new();
+                        for round in 0..4 {
+                            let handle = p.load_graph(g).unwrap();
+                            barrier.wait();
+                            let first = (round + id) % 2 == 0;
+                            if !first {
+                                barrier.wait();
+                            }
+                            outputs.push(p.run(handle, &Algorithm::Conn, &RunContext::unbounded()));
+                            p.unload(handle);
+                            if first {
+                                barrier.wait();
+                            }
+                        }
+                        outputs
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for out in outputs.into_iter().flatten() {
+            let out = out.unwrap();
+            assert!(expected.equivalent(&out), "got {out:?}");
+        }
     }
 
     #[test]

@@ -344,9 +344,9 @@ pub fn run<P: VertexProgram>(
             let graph_ref = graph;
             let wv = &worker_vertices;
             let mut outputs: Vec<Option<WorkerOutput<P>>> = (0..workers).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (w, slot) in outputs.iter_mut().enumerate() {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         *slot = Some(compute_partition(
                             graph_ref,
                             program_ref,
@@ -359,8 +359,7 @@ pub fn run<P: VertexProgram>(
                         ));
                     });
                 }
-            })
-            .map_err(|_| PlatformError::Internal("pregel worker panicked".to_string()))?;
+            });
             let mut collected = Vec::with_capacity(workers);
             for o in outputs {
                 collected.push(o.ok_or_else(|| {

@@ -8,7 +8,8 @@
 //! * `/metrics` — the exposition parses under a Prometheus text-format
 //!   grammar check (HELP before TYPE, histogram `_bucket`/`_sum`/`_count`
 //!   consistency, label escaping) and carries the expected job counters;
-//! * admission control — a full queue turns submissions into 429s.
+//! * admission control — a full queue turns submissions into 429s;
+//! * concurrency — two MapReduce jobs on two workers both validate.
 
 use graphalytics_core::json::{parse as parse_json, Json};
 use graphalytics_serve::http::http_call;
@@ -230,6 +231,41 @@ fn full_queue_refuses_with_429() {
     // Both admitted jobs still drain to completion.
     await_terminal(&addr, "j-1");
     await_terminal(&addr, "j-2");
+    handle.shutdown();
+}
+
+#[test]
+fn concurrent_mapreduce_jobs_both_validate() {
+    // Two workers run the jobs in pairs, so two MapReduce platform
+    // instances live in the process at once; neither may touch the
+    // other's scratch files.
+    let (handle, addr) = ready_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        preload: vec!["graph500-9".into()],
+        ..Default::default()
+    });
+    let ids: Vec<String> = ["bfs:0", "conn", "bfs:0", "conn"]
+        .iter()
+        .map(|algorithm| {
+            let job = format!(
+                r#"{{"platform":"mapreduce","algorithm":"{algorithm}","graph":"graph500-9"}}"#
+            );
+            let (status, body) = post(&addr, "/jobs", &job);
+            assert_eq!(status, 202, "{body}");
+            let accepted = parse_json(&body).unwrap();
+            accepted.get("id").unwrap().as_str().unwrap().to_string()
+        })
+        .collect();
+    for id in &ids {
+        let doc = await_terminal(&addr, id);
+        assert_eq!(doc.get("state").unwrap().as_str(), Some("done"), "{id}");
+        assert_eq!(
+            doc.get("validation").unwrap().as_str(),
+            Some("valid"),
+            "{id}"
+        );
+    }
     handle.shutdown();
 }
 

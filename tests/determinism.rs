@@ -12,6 +12,7 @@ use graphalytics_algos::{bfs, conn, lcc, pagerank, sssp};
 use graphalytics_core::platform::RunContext;
 use graphalytics_datagen::cluster::{generate_to_disk, GenerationMode};
 use graphalytics_datagen::DatagenConfig;
+use graphalytics_graph::io::ScratchDir;
 use graphalytics_graph::CsrGraph;
 use graphalytics_pregel::programs::{BfsProgram, ConnProgram};
 use graphalytics_pregel::{run, PregelConfig};
@@ -42,11 +43,8 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gx-determinism-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+fn scratch_dir(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("determinism-{name}")).expect("create scratch dir")
 }
 
 #[test]
@@ -56,14 +54,14 @@ fn datagen_is_thread_count_invariant() {
 
     let mut hashes = Vec::new();
     for threads in [1usize, 4] {
-        let out = dir.join(format!("t{threads}.e"));
+        let out = dir.path().join(format!("t{threads}.e"));
         generate_to_disk(&cfg, &GenerationMode::SingleNode { threads }, &out)
             .expect("single-node generation");
         hashes.push(edge_set_hash(&out));
     }
     // A simulated cluster deployment must also emit the same graph.
-    let out = dir.join("cluster.e");
-    let spill = dir.join("spill");
+    let out = dir.path().join("cluster.e");
+    let spill = dir.path().join("spill");
     std::fs::create_dir_all(&spill).expect("spill dir");
     generate_to_disk(
         &cfg,
@@ -85,7 +83,6 @@ fn datagen_is_thread_count_invariant() {
         hashes[0], hashes[2],
         "single-node and cluster runs disagree on the edge set"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -95,14 +92,13 @@ fn datagen_seed_changes_the_graph() {
     let dir = scratch_dir("seeds");
     let mut hashes = Vec::new();
     for seed in [1u64, 2] {
-        let out = dir.join(format!("s{seed}.e"));
+        let out = dir.path().join(format!("s{seed}.e"));
         let cfg = DatagenConfig::new(300, seed);
         generate_to_disk(&cfg, &GenerationMode::SingleNode { threads: 2 }, &out)
             .expect("generation");
         hashes.push(edge_set_hash(&out));
     }
     assert_ne!(hashes[0], hashes[1], "seed does not influence the graph");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn pregel_test_graph() -> Arc<CsrGraph> {

@@ -7,31 +7,33 @@
 
 use graphalytics_graph::metrics;
 use graphalytics_graph::{CsrGraph, Vid};
-use graphalytics_parallel as par;
 
 /// Local clustering coefficient of every vertex, in internal-id order.
 /// Values lie in `[0, 1]`; vertices of degree < 2 get exactly `0.0`.
 pub fn local_clustering(g: &CsrGraph) -> Vec<f64> {
-    (0..g.num_vertices() as Vid)
-        .map(|v| metrics::local_clustering_coefficient(g, v))
-        .collect()
+    local_clustering_parallel(g, 1)
 }
 
 /// Parallel LCC on up to `threads` workers.
 ///
-/// Deterministic: each vertex's coefficient depends only on its own
-/// adjacency, and the chunk-ordered concatenation preserves internal-id
-/// order — the output is byte-identical to [`local_clustering`] for any
-/// thread count.
+/// Deterministic: the triangle counts come from
+/// [`metrics::triangles_per_vertex`], whose integer counts are identical
+/// at every thread count, and each coefficient depends only on its own
+/// vertex's count and degree — the output is byte-identical to
+/// [`local_clustering`] for any thread count.
 pub fn local_clustering_parallel(g: &CsrGraph, threads: usize) -> Vec<f64> {
-    let threads = threads.max(1);
-    let n = g.num_vertices();
-    par::map_chunks(threads, n, |_, range| {
-        range
-            .map(|v| metrics::local_clustering_coefficient(g, v as Vid))
-            .collect::<Vec<f64>>()
-    })
-    .concat()
+    metrics::triangles_per_vertex(g, threads)
+        .into_iter()
+        .enumerate()
+        .map(|(v, tri)| {
+            let d = g.degree(v as Vid);
+            if d < 2 {
+                0.0
+            } else {
+                (2 * tri) as f64 / (d * (d - 1)) as f64
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -80,6 +82,29 @@ mod tests {
         let g = csr(edges);
         for (v, &c) in local_clustering(&g).iter().enumerate() {
             assert!((0.0..=1.0).contains(&c), "vertex {v} got {c}");
+        }
+    }
+
+    #[test]
+    fn directed_graph_keeps_out_list_convention() {
+        // Asymmetric arcs: out(0) = {1, 2, 3} links ⌊3/2⌋ = 1 time, over
+        // 3·2 ordered pairs; every other vertex has out-degree < 2 or no
+        // link. STATS averages the same coefficients.
+        let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 2),
+            (2, 1),
+            (1, 3),
+            (3, 0),
+        ]));
+        let expected = [1.0 / 3.0, 0.0, 0.0, 0.0];
+        for threads in [1usize, 2, 8] {
+            assert_eq!(local_clustering_parallel(&g, threads), expected);
+            let s = crate::stats::stats_parallel(&g, threads);
+            assert_eq!((s.num_vertices, s.num_edges), (4, 7));
+            assert_eq!(s.mean_local_cc.to_bits(), (1.0f64 / 12.0).to_bits());
         }
     }
 

@@ -1,8 +1,8 @@
 //! STATS kernel: "counts the numbers of vertices and edges in the graph and
 //! computes the mean local clustering coefficient" (paper §3.2).
 
-use graphalytics_graph::metrics;
-use graphalytics_graph::{CsrGraph, Vid};
+use crate::lcc;
+use graphalytics_graph::CsrGraph;
 
 /// Result of the STATS kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,10 +18,17 @@ pub struct StatsResult {
 
 /// Reference STATS implementation.
 pub fn stats(g: &CsrGraph) -> StatsResult {
+    stats_parallel(g, 1)
+}
+
+/// STATS on up to `threads` workers. The coefficients come from
+/// [`lcc::local_clustering_parallel`] and are summed in vertex order, so
+/// the result is byte-identical to [`stats`] for any thread count.
+pub fn stats_parallel(g: &CsrGraph, threads: usize) -> StatsResult {
     let n = g.num_vertices();
     let mut sum = 0.0;
-    for v in 0..n as Vid {
-        sum += metrics::local_clustering_coefficient(g, v);
+    for cc in lcc::local_clustering_parallel(g, threads) {
+        sum += cc;
     }
     StatsResult {
         num_vertices: n,

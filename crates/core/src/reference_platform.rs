@@ -14,8 +14,9 @@ use graphalytics_graph::CsrGraph;
 use crate::platform::{GraphHandle, HandleTable, Platform, PlatformError, RunContext};
 
 /// Oracle platform. Sequential by default; [`ReferencePlatform::with_threads`]
-/// switches BFS/CONN/PageRank (and CSR loading) onto the deterministic
+/// switches STATS, BFS, CONN, PageRank, SSSP and LCC onto the deterministic
 /// parallel runtime — outputs stay byte-identical at every thread count.
+/// CD and EVO stay sequential.
 #[derive(Default)]
 pub struct ReferencePlatform {
     graphs: HandleTable<Arc<CsrGraph>>,

@@ -9,6 +9,7 @@
 
 use crate::csr::{CsrGraph, Vid};
 use crate::edgelist::EdgeListGraph;
+use graphalytics_parallel as par;
 
 /// The structural characteristics reported in the paper's Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,32 +41,91 @@ pub fn characteristics(g: &EdgeListGraph) -> GraphCharacteristics {
     }
 }
 
-/// Number of edges among the neighbors of `v` (i.e. triangles through `v`),
-/// computed by sorted-adjacency intersection.
-pub fn triangles_at(g: &CsrGraph, v: Vid) -> usize {
-    let nv = g.neighbors(v);
-    let mut links = 0usize;
-    for &u in nv {
-        // Intersect N(v) with N(u); count each neighbor-pair edge twice
-        // (once from u's side, once from w's side), halved below.
-        links += sorted_intersection_len(nv, g.neighbors(u));
+/// Triangles through every vertex, in internal-id order: `tri[v]` is the
+/// number of edges among the neighbours of `v`. Runs on up to `threads`
+/// workers; the output is identical at every thread count.
+///
+/// On an undirected graph this is one degree-ordered pass (GAP's count,
+/// Beamer et al., arXiv 1508.03619). Each edge is oriented from lower to
+/// higher rank, where rank is `(degree, id)`, so a hub keeps only the few
+/// arcs to vertices ranked above it. Each triangle `v < u < w` (by rank)
+/// is then found exactly once, from `v`: mark `out(v)`, walk `out(u)` for
+/// every `u` in `out(v)`, and a marked `w` closes the triangle and credits
+/// all three corners. Every chunk of vertices owns its own count and stamp
+/// arrays, and the integer counts are summed in chunk order.
+///
+/// On a directed graph, `tri[v]` is `⌊links(v) / 2⌋`, where `links(v)`
+/// sums `|out(v) ∩ out(u)|` over `u ∈ out(v)`: the out-list convention
+/// STATS and LCC have always used there.
+pub fn triangles_per_vertex(g: &CsrGraph, threads: usize) -> Vec<u64> {
+    let threads = threads.max(1);
+    let n = g.num_vertices();
+    if g.is_directed() {
+        return par::map_chunks(threads, n, |_, range| {
+            range
+                .map(|v| {
+                    let out = g.neighbors(v as Vid);
+                    let links: usize = out
+                        .iter()
+                        .map(|&u| sorted_intersection_len(out, g.neighbors(u)))
+                        .sum();
+                    (links / 2) as u64
+                })
+                .collect::<Vec<u64>>()
+        })
+        .concat();
     }
-    links / 2
+
+    // Step 1: the oriented out-CSR, one arc per edge. Filtering a sorted
+    // neighbour list keeps each target list sorted.
+    let rank = |v: Vid| (g.degree(v), v);
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(g.num_edges());
+    offsets.push(0);
+    for v in 0..n as Vid {
+        targets.extend(g.neighbors(v).iter().filter(|&&u| rank(u) > rank(v)));
+        offsets.push(targets.len());
+    }
+    let out = |v: Vid| &targets[offsets[v as usize]..offsets[v as usize + 1]];
+
+    // Steps 2–4, one chunk of `v`s per worker.
+    let mut parts = par::map_chunks(threads, n, |_, range| {
+        let mut tri = vec![0u64; n];
+        // `stamp[w] == v` marks `w ∈ out(v)`; ids are below `n`, so no
+        // vertex is `Vid::MAX`.
+        let mut stamp = vec![Vid::MAX; n];
+        for v in range {
+            let v = v as Vid;
+            let out_v = out(v);
+            for &u in out_v {
+                stamp[u as usize] = v;
+            }
+            for &u in out_v {
+                let mut closed = 0u64;
+                for &w in out(u) {
+                    if stamp[w as usize] == v {
+                        closed += 1;
+                        tri[w as usize] += 1;
+                    }
+                }
+                tri[u as usize] += closed;
+                tri[v as usize] += closed;
+            }
+        }
+        tri
+    })
+    .into_iter();
+    let mut tri = parts.next().unwrap_or_default();
+    for part in parts {
+        for (total, count) in tri.iter_mut().zip(part) {
+            *total += count;
+        }
+    }
+    tri
 }
 
-/// Local clustering coefficient of `v`: triangles / possible neighbor pairs.
-/// Zero for vertices of degree < 2.
-pub fn local_clustering_coefficient(g: &CsrGraph, v: Vid) -> f64 {
-    let d = g.degree(v);
-    if d < 2 {
-        return 0.0;
-    }
-    let tri = triangles_at(g, v);
-    (2 * tri) as f64 / (d * (d - 1)) as f64
-}
-
-/// Computes `(global_cc, avg_local_cc)` together, sharing the per-vertex
-/// triangle counts. Requires an undirected CSR graph.
+/// Computes `(global_cc, avg_local_cc)` together from one triangle pass.
+/// Requires an undirected CSR graph.
 pub fn clustering_coefficients(g: &CsrGraph) -> (f64, f64) {
     assert!(
         !g.is_directed(),
@@ -75,15 +135,15 @@ pub fn clustering_coefficients(g: &CsrGraph) -> (f64, f64) {
     if n == 0 {
         return (0.0, 0.0);
     }
-    let mut triangle_sum = 0usize; // Sum over v of triangles through v = 3·T.
+    let triangles = triangles_per_vertex(g, 1);
+    let mut triangle_sum = 0u64; // Sum over v of triangles through v = 3·T.
     let mut wedges = 0usize;
     let mut local_sum = 0.0f64;
-    for v in 0..n as Vid {
-        let d = g.degree(v);
+    for (v, &tri) in triangles.iter().enumerate() {
+        let d = g.degree(v as Vid);
         if d < 2 {
             continue;
         }
-        let tri = triangles_at(g, v);
         triangle_sum += tri;
         let pairs = d * (d - 1) / 2;
         wedges += pairs;
@@ -100,11 +160,7 @@ pub fn clustering_coefficients(g: &CsrGraph) -> (f64, f64) {
 /// Total number of triangles in the (undirected) graph.
 pub fn triangle_count(g: &CsrGraph) -> usize {
     assert!(!g.is_directed());
-    let mut sum = 0usize;
-    for v in 0..g.num_vertices() as Vid {
-        sum += triangles_at(g, v);
-    }
-    sum / 3
+    (triangles_per_vertex(g, 1).iter().sum::<u64>() / 3) as usize
 }
 
 /// Degree assortativity: the Pearson correlation coefficient between the
@@ -206,9 +262,86 @@ pub fn sorted_intersection_len(a: &[Vid], b: &[Vid]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn csr(edges: Vec<(u64, u64)>) -> CsrGraph {
         CsrGraph::from_edge_list(&EdgeListGraph::undirected_from_edges(edges))
+    }
+
+    /// Triangles through each vertex by brute force: the neighbour pairs
+    /// of `v` that are joined by an arc.
+    fn naive_triangles(g: &CsrGraph) -> Vec<u64> {
+        g.vertex_ids()
+            .map(|v| {
+                let nv = g.neighbors(v);
+                let mut tri = 0;
+                for (i, &a) in nv.iter().enumerate() {
+                    for &b in &nv[i + 1..] {
+                        tri += u64::from(g.has_arc(a, b));
+                    }
+                }
+                tri
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn triangles_per_vertex_matches_naive_pair_count(
+            edges in proptest::collection::vec((0u64..40, 0u64..40), 0..300),
+            threads in 1usize..9,
+        ) {
+            let g = csr(edges);
+            let expected = naive_triangles(&g);
+            prop_assert_eq!(triangles_per_vertex(&g, 1), expected.clone());
+            prop_assert_eq!(triangles_per_vertex(&g, threads), expected);
+        }
+
+        #[test]
+        fn hub_and_clique_with_degree_ties(
+            hubs in 1u64..4,
+            clique in 3u64..9,
+            leaves in 0u64..12,
+            extra in proptest::collection::vec((0u64..24, 0u64..24), 0..16),
+            threads in 1usize..9,
+        ) {
+            // Clique members all share one degree, and so do the hubs:
+            // each hub joins every clique member and its own `leaves`.
+            let mut edges = extra;
+            for a in 0..clique {
+                edges.extend((a + 1..clique).map(|b| (a, b)));
+            }
+            for h in 0..hubs {
+                let hub = 100 + h;
+                edges.extend((0..clique).map(|a| (hub, a)));
+                edges.extend((0..leaves).map(|l| (hub, 200 + 16 * h + l)));
+            }
+            let g = csr(edges);
+            let expected = naive_triangles(&g);
+            prop_assert_eq!(triangles_per_vertex(&g, 1), expected.clone());
+            prop_assert_eq!(triangles_per_vertex(&g, threads), expected);
+        }
+    }
+
+    #[test]
+    fn directed_triangles_halve_out_list_links() {
+        // out(0) = {1, 2, 3} links 3 times through out(1) = {2, 3} and
+        // out(2) = {1}: ⌊3/2⌋ = 1. The undirected projection would give
+        // vertex 0 two triangles.
+        let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 2),
+            (2, 1),
+            (1, 3),
+            (3, 0),
+        ]));
+        for threads in [1, 2, 8] {
+            assert_eq!(triangles_per_vertex(&g, threads), vec![1, 0, 0, 0]);
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! given*. These tests run the Datagen generator and a Pregel program at
 //! different parallelism levels and require bit-identical outputs.
 
-use graphalytics_algos::{bfs, conn, lcc, pagerank, sssp};
+use graphalytics_algos::{bfs, conn, lcc, pagerank, sssp, stats};
+use graphalytics_core::datasets::Dataset;
 use graphalytics_core::platform::RunContext;
 use graphalytics_datagen::cluster::{generate_to_disk, GenerationMode};
 use graphalytics_datagen::DatagenConfig;
@@ -229,5 +230,31 @@ fn parallel_kernels_are_thread_count_invariant() {
                 "PageRank bits differ at vertex {v}, {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn triangle_kernels_are_thread_count_invariant_on_graph500() {
+    // STATS and LCC share one degree-ordered triangle pass whose chunks
+    // each own their counts. On a skewed R-MAT graph the hubs land in
+    // different chunks at every thread count; the outputs must not move,
+    // and must equal the digests the per-vertex merge intersection gave.
+    let edges = Dataset::graph500(12)
+        .edge_list()
+        .expect("generate Graph500 12");
+    let graph = CsrGraph::from_edge_list(&edges);
+    for threads in [1usize, 2, 8] {
+        let lcc = lcc::local_clustering_parallel(&graph, threads);
+        let digest = lcc.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, c| {
+            (h ^ c.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x366a_4dd5_de59_6ad1, "LCC at {threads} threads");
+        let s = stats::stats_parallel(&graph, threads);
+        assert_eq!((s.num_vertices, s.num_edges), (4096, 48315));
+        assert_eq!(
+            s.mean_local_cc.to_bits(),
+            0x3fd0_b291_4978_9d1d,
+            "STATS at {threads} threads"
+        );
     }
 }
